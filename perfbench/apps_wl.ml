@@ -41,6 +41,7 @@ type solve = {
   retries : int;
   snap_uf : Obs.snapshot;
   snap_alock : Obs.snapshot;
+  cal : float;  (** host-speed factor from the references around it; 1 if none *)
 }
 
 (* Every closure of [d] as a span. *)
@@ -99,6 +100,7 @@ let solve ?(traced = false) ~domains ~seed ~expected_weight (i : inst) =
     retries = Obs.counter_value (Obs.snapshot obs) "retries";
     snap_uf = i.det.Detector.snapshot ();
     snap_alock = i.t.Boruvka.aux.Detector.snapshot ();
+    cal = 1.0;
   }
 
 let reference_weight () =
@@ -106,20 +108,30 @@ let reference_weight () =
   Reference.mst_weight ~n:mesh.Mesh.nodes mesh.Mesh.edges
 
 type run = {
+  rss_mb : float;  (** peak RSS after the warm-up solves *)
   setups : float list;
   one : solve list;  (** 1-domain solves *)
   two : solve list;  (** 2-domain solves *)
 }
 
 (* Rounds of two 1-domain solves and one 2-domain solve (a 2-domain solve
-   takes about five times as long), each on a fresh set-up, until
-   [seconds] have passed. *)
+   takes about five times as long), each on a fresh set-up between two
+   reference runs on as many domains, until [seconds] have passed.  The
+   references run while no instance is live, so their collections do not
+   trace the app's heap.  One untimed solve at each domain count comes
+   first; the peak RSS is read right after them, before any reference, so
+   it is the program's own. *)
 let measure ~seed ~seconds =
   let expected_weight = reference_weight () in
+  List.iter (fun d -> ignore (solve ~domains:d ~seed ~expected_weight (fst (setup ())))) [ 1; 2 ];
+  let rss_mb = Probe.peak_rss_mb (Unix.getpid ()) in
   let stop = Probe.now_ns () + (seconds * 1_000_000_000) in
   let fresh domains =
+    let r0 = Probe.reference ~domains in
     let i, s = setup () in
-    (solve ~domains ~seed ~expected_weight i, s)
+    let sv = solve ~domains ~seed ~expected_weight i in
+    let r1 = Probe.reference ~domains in
+    ({ sv with cal = Probe.cal r0 r1 }, s)
   in
   let rec go acc =
     if acc.one <> [] && Probe.now_ns () >= stop then acc
@@ -127,7 +139,7 @@ let measure ~seed ~seconds =
       let a, sa = fresh 1 in
       let b, sb = fresh 1 in
       let c, sc = fresh 2 in
-      go { setups = sa :: sb :: sc :: acc.setups; one = a :: b :: acc.one; two = c :: acc.two }
+      go { acc with setups = sa :: sb :: sc :: acc.setups; one = a :: b :: acc.one; two = c :: acc.two }
     end
   in
-  go { setups = []; one = []; two = [] }
+  go { rss_mb; setups = []; one = []; two = [] }

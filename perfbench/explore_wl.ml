@@ -34,7 +34,13 @@ let setup () =
   in
   (w, Probe.secs_of_ns (Probe.now_ns () - t0))
 
-type run = { wall_s : float; cpu_s : float; words : float; report : Pexplore.report }
+type run = {
+  wall_s : float;
+  cpu_s : float;
+  words : float;
+  report : Pexplore.report;
+  cal : float;  (** host-speed factor from the references around it; 1 if none *)
+}
 
 let config domains =
   {
@@ -63,31 +69,40 @@ let explore ~domains (w : Workload.t) =
   if report.Pexplore.states <> expected_states then
     failwith
       (Printf.sprintf "explore saw %d states, want %d" report.Pexplore.states expected_states);
-  { wall_s; cpu_s; words; report }
+  { wall_s; cpu_s; words; report; cal = 1.0 }
 
-type measured = { setups : float list; one : run list; two : run list }
+type measured = {
+  rss_mb : float;  (** peak RSS after the warm-up explorations *)
+  setups : float list;
+  one : run list;
+  two : run list;
+}
 
 (* Alternate 1- and 2-domain explorations, each on a freshly constructed
-   workload, until [seconds] have passed (at least one of each). *)
+   workload between two reference runs on as many domains, until [seconds]
+   have passed (at least one of each).  One untimed exploration at each
+   domain count comes first; the peak RSS is read right after them, before
+   any reference, so it is the program's own. *)
 let measure ~seconds =
+  List.iter (fun d -> ignore (explore ~domains:d (fst (setup ())))) [ 1; 2 ];
+  let rss_mb = Probe.peak_rss_mb (Unix.getpid ()) in
   let stop = Probe.now_ns () + (seconds * 1_000_000_000) in
+  let fresh domains =
+    let r0 = Probe.reference ~domains in
+    let s = List.init setups_per_run (fun _ -> setup ()) in
+    let r = explore ~domains (fst (List.hd s)) in
+    let r1 = Probe.reference ~domains in
+    ({ r with cal = Probe.cal r0 r1 }, List.map snd s)
+  in
   let rec go acc =
     if acc.one <> [] && Probe.now_ns () >= stop then acc
     else begin
-      let timed_setups () = List.init setups_per_run (fun _ -> setup ()) in
-      let s1 = timed_setups () in
-      let r1 = explore ~domains:1 (fst (List.hd s1)) in
-      let s2 = timed_setups () in
-      let r2 = explore ~domains:2 (fst (List.hd s2)) in
-      go
-        {
-          setups = List.map snd (s1 @ s2) @ acc.setups;
-          one = r1 :: acc.one;
-          two = r2 :: acc.two;
-        }
+      let r1, s1 = fresh 1 in
+      let r2, s2 = fresh 2 in
+      go { acc with setups = s1 @ s2 @ acc.setups; one = r1 :: acc.one; two = r2 :: acc.two }
     end
   in
-  go { setups = []; one = []; two = [] }
+  go { rss_mb; setups = []; one = []; two = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Traced run                                                          *)

@@ -15,9 +15,9 @@ module Span = Probe.Span
 
 let end_to_end =
   [
-    ("p50_ms", "ms");
-    ("cpu_us_per_op", "us");
-    ("ops_per_s_2d", "1/s");
+    ("p50_ms_cal", "ms");
+    ("cpu_us_per_op_cal", "us");
+    ("ops_per_s_2d_cal", "1/s");
     ("setup_s", "s");
     ("peak_rss_mb", "MiB");
   ]
@@ -88,6 +88,10 @@ let report name v =
 
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
+(* The uncalibrated figure behind a calibrated one: printed, not in the
+   JSON result. *)
+let raw name v u = Printf.printf "%-32s %.6g %s (uncalibrated)\n%!" name v u
+
 (* Counter [name] of [snap], less its value in [base]. *)
 let cnt ?base snap name =
   Obs.counter_value snap name
@@ -115,17 +119,31 @@ let serve ~mix ~seed ~seconds ~trace ~exe =
   let open Serve_wl in
   let cdf = Load.zipf_cdf ~keys ~theta in
   let reps = if trace then 1 else setup_reps in
-  let r = socket_run ~exe ~mix ~seed ~seconds ~reps cdf in
+  let r = socket_run ~exe ~mix ~seed ~seconds ~reps ~saturate:trace cdf in
   let m = r.measured in
   let cpu_us = m.cpu_s /. float_of_int m.n_done *. 1e6 in
-  Printf.printf "latency samples %d (p50 over all of them)\n" m.n_done;
-  report "p50_ms" (Probe.quantile m.lat_ms 0.5);
-  report "cpu_us_per_op" cpu_us;
-  report "ops_per_s_2d" (float_of_int m.n_done /. m.span_s);
+  (* One factor for the whole run, the median of the segments': the
+     reference runs in the generator, not in the server, and within one
+     run a segment's own factor moved by up to 0.4 while its uncalibrated
+     p50 stayed within 0.1. *)
+  let cal = Probe.median (List.map (fun g -> g.cal) r.segs) in
+  let per_seg f = Probe.median (List.map (fun g -> f g.res) r.segs) *. cal in
+  Printf.printf "latency samples %d in %d segments (p50 per segment)\n" m.n_done
+    (List.length r.segs);
+  Printf.printf "per segment, uncalibrated p50 ms / host-speed factor: %s\n"
+    (String.concat " "
+       (List.map
+          (fun g -> Printf.sprintf "%.3f/%.3f" (Probe.quantile g.res.lat_ms 0.5) g.cal)
+          r.segs));
+  report "p50_ms_cal" (per_seg (fun s -> Probe.quantile s.lat_ms 0.5));
+  report "cpu_us_per_op_cal" (per_seg (fun s -> s.cpu_s /. float_of_int s.n_done *. 1e6));
+  report "ops_per_s_2d_cal" (float_of_int m.n_done /. m.span_s);
+  raw "p50_ms" (Probe.quantile m.lat_ms 0.5) "ms";
+  raw "cpu_us_per_op" cpu_us "us";
   report "setup_s" r.setup_s;
   report "peak_rss_mb" r.rss_mb;
   report "gen.p99_ms" (Probe.quantile m.lat_ms 0.99);
-  report "gen.max_rps" r.max_rps;
+  if trace then report "gen.max_rps" r.max_rps;
   report "gen.lag_max_ms" m.lag_max_ms;
   report "host.steal_share" r.steal;
   report "gen.frames_per_read" r.frames_per_read;
@@ -191,13 +209,21 @@ let apps ~seed ~seconds ~trace =
   let host0 = Probe.host_cpu () in
   if not trace then begin
     let r = measure ~seed ~seconds in
-    attempted := !attempted + List.length r.one + List.length r.two;
+    (* the two warm-up jobs are checked too *)
+    attempted := !attempted + 2 + List.length r.one + List.length r.two;
     Printf.printf "solves: %d at 1 domain, %d at 2 domains\n" (List.length r.one)
       (List.length r.two);
-    report "p50_ms" (Probe.median (List.map (fun s -> s.wall_s *. 1e3) r.one));
-    report "cpu_us_per_op" (Probe.median (List.map (fun s -> per_commit s s.cpu_s *. 1e6) r.one));
-    report "ops_per_s_2d" (Probe.median (List.map (fun s -> 1.0 /. per_commit s s.wall_s) r.two));
-    report "setup_s" (Probe.median r.setups)
+    let med f l = Probe.median (List.map f l) in
+    Printf.printf "per 1-domain job, uncalibrated ms / host-speed factor: %s\n"
+      (String.concat " " (List.rev_map (fun s -> Printf.sprintf "%.1f/%.3f" (s.wall_s *. 1e3) s.cal) r.one));
+    report "p50_ms_cal" (med (fun s -> s.wall_s *. s.cal *. 1e3) r.one);
+    report "cpu_us_per_op_cal" (med (fun s -> per_commit s s.cpu_s *. s.cal *. 1e6) r.one);
+    report "ops_per_s_2d_cal" (med (fun s -> 1.0 /. per_commit s (s.wall_s *. s.cal)) r.two);
+    report "setup_s" (Probe.median r.setups);
+    report "peak_rss_mb" r.rss_mb;
+    raw "p50_ms" (med (fun s -> s.wall_s *. 1e3) r.one) "ms";
+    raw "cpu_us_per_op" (med (fun s -> per_commit s s.cpu_s *. 1e6) r.one) "us";
+    raw "ops_per_s_2d" (med (fun s -> 1.0 /. per_commit s s.wall_s) r.two) "1/s"
   end
   else begin
     let expected_weight = reference_weight () in
@@ -230,7 +256,7 @@ let apps ~seed ~seconds ~trace =
     report "alock.denials_per_acquisition"
       (ratio (cnt two.snap_alock "lock_denials") (cnt two.snap_alock "lock_acquisitions"))
   end;
-  report "peak_rss_mb" (Probe.peak_rss_mb (Unix.getpid ()));
+  if trace then report "peak_rss_mb" (Probe.peak_rss_mb (Unix.getpid ()));
   report "host.steal_share" (Probe.steal_share host0)
 
 (* ------------------------------------------------------------------ *)
@@ -243,13 +269,21 @@ let explore ~seconds ~trace =
   let per_sched (r : run) x = x /. float_of_int r.report.Commlat_sched.Pexplore.c.Commlat_sched.Explore.runs in
   if not trace then begin
     let r = measure ~seconds in
-    attempted := !attempted + List.length r.one + List.length r.two;
+    (* the two warm-up jobs are checked too *)
+    attempted := !attempted + 2 + List.length r.one + List.length r.two;
     Printf.printf "explorations: %d at 1 domain, %d at 2 domains\n" (List.length r.one)
       (List.length r.two);
-    report "p50_ms" (Probe.median (List.map (fun s -> s.wall_s *. 1e3) r.one));
-    report "cpu_us_per_op" (Probe.median (List.map (fun s -> per_sched s s.cpu_s *. 1e6) r.one));
-    report "ops_per_s_2d" (Probe.median (List.map (fun s -> 1.0 /. per_sched s s.wall_s) r.two));
-    report "setup_s" (Probe.median r.setups)
+    let med f l = Probe.median (List.map f l) in
+    Printf.printf "per 1-domain job, uncalibrated ms / host-speed factor: %s\n"
+      (String.concat " " (List.rev_map (fun s -> Printf.sprintf "%.1f/%.3f" (s.wall_s *. 1e3) s.cal) r.one));
+    report "p50_ms_cal" (med (fun s -> s.wall_s *. s.cal *. 1e3) r.one);
+    report "cpu_us_per_op_cal" (med (fun s -> per_sched s s.cpu_s *. s.cal *. 1e6) r.one);
+    report "ops_per_s_2d_cal" (med (fun s -> 1.0 /. per_sched s (s.wall_s *. s.cal)) r.two);
+    report "setup_s" (Probe.median r.setups);
+    report "peak_rss_mb" r.rss_mb;
+    raw "p50_ms" (med (fun s -> s.wall_s *. 1e3) r.one) "ms";
+    raw "cpu_us_per_op" (med (fun s -> per_sched s s.cpu_s *. 1e6) r.one) "us";
+    raw "ops_per_s_2d" (med (fun s -> 1.0 /. per_sched s s.wall_s) r.two) "1/s"
   end
   else begin
     let open Commlat_sched in
@@ -275,7 +309,7 @@ let explore ~seconds ~trace =
       *. 1e6);
     attempted := !attempted + 2 + List.length schedules
   end;
-  report "peak_rss_mb" (Probe.peak_rss_mb (Unix.getpid ()));
+  if trace then report "peak_rss_mb" (Probe.peak_rss_mb (Unix.getpid ()));
   report "host.steal_share" (Probe.steal_share host0)
 
 (* ------------------------------------------------------------------ *)

@@ -93,6 +93,53 @@ let median l =
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* ------------------------------------------------------------------ *)
+(* Calibration                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* On a shared host the speed of allocation-heavy code moves by a third
+   from one minute to the next, and by up to 1.8x between two solves a
+   second apart.  So each timed job sits between two runs of a reference:
+   a fixed computation that uses no repository code, on as many domains as
+   the job uses.  It builds a 50k-key map (pointer chasing, promotion to
+   the major heap) and a stream of short-lived lists (minor-heap
+   allocation), the two costs that dominate the workloads.  Over three
+   minutes of interleaved runs its time correlated 0.89 with the Boruvka
+   solve's and 0.82 with the exploration's.  A calibrated time is the
+   job's time scaled to the host speed at which the reference takes
+   [ref_nominal_s]. *)
+module Int_map = Map.Make (Int)
+
+let ref_nominal_s = 0.065
+
+let ref_body () =
+  let st = Random.State.make [| 0x5eed |] in
+  let m = ref Int_map.empty in
+  for i = 1 to 50_000 do
+    m := Int_map.add (Random.State.bits st) [ i ] !m
+  done;
+  let n = ref 0 in
+  for _ = 1 to 3_000 do
+    n := !n + List.length (List.init 1000 (fun i -> (i, i)))
+  done;
+  ignore (Sys.opaque_identity (!m, !n))
+
+(* Wall seconds of one reference run on [domains] domains at once, on a
+   fully collected heap.  It runs on the job's own thread: there it tracked
+   the job far better (correlation 0.82 over three minutes) than the same
+   reference run in a helper process (0.35). *)
+let reference ~domains =
+  Gc.full_major ();
+  let t0 = now_ns () in
+  let others = List.init (domains - 1) (fun _ -> Domain.spawn ref_body) in
+  ref_body ();
+  List.iter Domain.join others;
+  secs_of_ns (now_ns () - t0)
+
+(* Factor that scales a time measured between references [a] and [b] to
+   the nominal host speed. *)
+let cal a b = ref_nominal_s /. ((a +. b) /. 2.0)
+
+(* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 

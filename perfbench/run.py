@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload serve-read --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve-read --seed 1 --seconds 25 --trace 0
 
 Builds `perfbench/perfbench.exe` and the `commlat` CLI (the serve child)
 with dune, then runs the benchmark.  Its last line of standard output is

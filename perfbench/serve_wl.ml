@@ -27,6 +27,15 @@ let closed_window = 64
 let prefill_window = 1024
 let setup_reps = 3
 
+(* The measured phase runs in segments of about [segment_s] seconds; after
+   each one the generator drains the replies and times the reference
+   (Probe.reference), so the references are spread over the whole run. *)
+let segment_s = 2
+
+let segments ~seconds =
+  let n = max 1 (seconds / segment_s) in
+  (n, int_of_float (rate *. float_of_int seconds) / n)
+
 (* ------------------------------------------------------------------ *)
 (* Request streams and the sequential model                            *)
 (* ------------------------------------------------------------------ *)
@@ -348,9 +357,12 @@ let setup ~exe ~seed ~tag tally =
 (* The socket run                                                      *)
 (* ------------------------------------------------------------------ *)
 
+type segment = { res : open_result; cal : float }
+
 type socket_run = {
   setup_s : float;
-  measured : open_result;
+  measured : open_result;  (** every segment together *)
+  segs : segment list;
   rss_mb : float;
   frames_per_read : float;
   max_rps : float;
@@ -358,7 +370,7 @@ type socket_run = {
   tally : tally;
 }
 
-let socket_run ~exe ~mix ~seed ~seconds ~reps cdf =
+let socket_run ~exe ~mix ~seed ~seconds ~reps ~saturate cdf =
   let tally = { attempted = 0; failed = 0; first_bad = "" } in
   (* earlier set-ups only time themselves; the last one serves the run *)
   let setups =
@@ -372,33 +384,57 @@ let socket_run ~exe ~mix ~seed ~seconds ~reps cdf =
   try
     let st = stream ~mix ~seed cdf in
     let n_warm = int_of_float (rate *. warmup_s) in
-    let n_meas = int_of_float (rate *. float_of_int seconds) in
+    let n_seg, n_per = segments ~seconds in
+    let n_meas = n_seg * n_per in
     let _warm = open_loop srv.c tally model ~pid:srv.pid ~n:n_warm ~id0:keys st in
     let host0 = Probe.host_cpu () in
     let r0 = srv.c.reads and f0 = srv.c.frames in
+    let ref0 = ref (Probe.reference ~domains:1) in
+    let segs =
+      List.init n_seg (fun k ->
+          let id0 = keys + n_warm + (k * n_per) in
+          let res = open_loop srv.c tally model ~pid:srv.pid ~n:n_per ~id0 st in
+          let ref1 = Probe.reference ~domains:1 in
+          let cal = Probe.cal !ref0 ref1 in
+          ref0 := ref1;
+          { res; cal })
+    in
+    let all f = List.map (fun g -> f g.res) segs in
     let measured =
-      open_loop srv.c tally model ~pid:srv.pid ~n:n_meas ~id0:(keys + n_warm) st
+      {
+        lat_ms = Array.concat (all (fun r -> r.lat_ms));
+        n_done = List.fold_left ( + ) 0 (all (fun r -> r.n_done));
+        span_s = List.fold_left ( +. ) 0.0 (all (fun r -> r.span_s));
+        lag_max_ms = List.fold_left Float.max 0.0 (all (fun r -> r.lag_max_ms));
+        cpu_s = List.fold_left ( +. ) 0.0 (all (fun r -> r.cpu_s));
+      }
     in
     let steal = Probe.steal_share host0 in
     let frames_per_read =
       float_of_int (srv.c.frames - f0) /. float_of_int (max 1 (srv.c.reads - r0))
     in
-    (* closed-loop saturation: a diagnostic only *)
-    let id = ref (keys + n_warm + n_meas) in
-    let t_cl = Probe.now_ns () in
-    let n_cl =
-      closed_loop srv.c tally model ~window:closed_window
-        ~stop_ns:(t_cl + int_of_float (closed_loop_s *. 1e9))
-        (fun () ->
-          incr id;
-          Some (next_req st ~id:(!id - 1)))
+    (* closed-loop saturation: a per-layer diagnostic, so traced runs only *)
+    let max_rps =
+      if not saturate then 0.0
+      else begin
+        let id = ref (keys + n_warm + n_meas) in
+        let t_cl = Probe.now_ns () in
+        let n_cl =
+          closed_loop srv.c tally model ~window:closed_window
+            ~stop_ns:(t_cl + int_of_float (closed_loop_s *. 1e9))
+            (fun () ->
+              incr id;
+              Some (next_req st ~id:(!id - 1)))
+        in
+        float_of_int n_cl /. Probe.secs_of_ns (Probe.now_ns () - t_cl)
+      end
     in
-    let max_rps = float_of_int n_cl /. Probe.secs_of_ns (Probe.now_ns () - t_cl) in
     let rss_mb = Probe.peak_rss_mb srv.pid in
     quit srv;
     {
       setup_s = Probe.median (s_last :: setups);
       measured;
+      segs;
       rss_mb;
       frames_per_read;
       max_rps;
@@ -497,7 +533,8 @@ let replay ~mix ~seed ~seconds cdf tally eng =
   let engine0 = Obs.snapshot eng.Engine.obs in
   let kvmap0 = (Engine.find_exposed eng "kvmap").Engine.det.Detector.snapshot () in
   let cpu = [| 0.0; 0.0 |] and reqs = [| 0; 0 |] in
-  let n_meas = int_of_float (rate *. float_of_int seconds) in
+  let n_seg, n_per = segments ~seconds in
+  let n_meas = n_seg * n_per in
   let i = ref 0 in
   while !i < n_meas do
     (* one epoch: [epoch] requests and their group commit *)
